@@ -23,9 +23,19 @@ from gldpcsim.graph import (
     expand_full_parity,
     place_gc_nodes,
 )
-from gldpcsim.qc import expand, search_shifts
+from gldpcsim.qc import QcProfile, expand, search_shifts
 
-from reference_ldpc import reference_bp_trace
+from reference_ldpc import reference_bec_peel, reference_bp_trace, reference_gldpc_trace
+
+SMALL_PROFILE = QcProfile(J=2, K=6, s=13, shifts=((0,) * 6, (0, 1, 3, 7, 9, 11)))
+
+
+def small_gldpc(nu):
+    graph = TannerGraph(expand(SMALL_PROFILE))
+    comp = default_component_code()
+    placement = place_gc_nodes(graph, nu, seed=3)
+    encoder = build_encoder(expand_full_parity(graph, placement, comp))
+    return graph, placement, comp, encoder
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +223,26 @@ def test_nu_zero_matches_reference_ldpc(code):
             assert np.array_equal(a, np.array(b, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("nu", [Fraction(3, 4), Fraction(7, 8)], ids=["nu34", "nu78"])
+def test_gc_decoder_matches_reference_trace(nu):
+    graph, placement, comp, enc = small_gldpc(nu)
+    dec = Decoder(graph, placement, comp)
+    check_rows = [list(e) for e in graph.edges]
+    rng = np.random.default_rng(21)
+    words = enc.encode_batch(rng.integers(0, 2, size=(12, enc.k), dtype=np.uint8))
+    frames = awgn_llr(modulate_qpsk(words), 0.9, rng=rng)
+    lengths = []
+    for llr in frames:
+        ours = dec.decode_trace(llr, i_max=8)
+        ref = reference_gldpc_trace(check_rows, placement.position_maps,
+                                    comp.codebook, llr.tolist(), 8)
+        assert len(ours) == len(ref)
+        for a, b in zip(ours, ref):
+            assert np.array_equal(a, np.array(b, dtype=np.uint8))
+        lengths.append(len(ours))
+    assert max(lengths) > 2  # the frames need real message passing
+
+
 def test_measured_tally_accumulates(code):
     graph, placement, comp, _, _ = code
     llr = np.zeros(498)
@@ -253,6 +283,27 @@ def test_bec_recovers_codeword_at_low_erasure(code):
     done = np.nonzero(out.converged)[0]
     assert np.array_equal(out.word[done], words[done].astype(np.int8))
     assert not out.contradiction.any()
+
+
+@pytest.mark.parametrize("i_max", [2, 30])
+def test_bec_matches_reference_peeling(i_max):
+    graph, placement, comp, enc = small_gldpc(Fraction(3, 4))
+    dec = Decoder(graph, placement, comp)
+    check_rows = [list(e) for e in graph.edges]
+    rng = np.random.default_rng(31)
+    words = enc.encode_batch(rng.integers(0, 2, size=(24, enc.k), dtype=np.uint8))
+    received = bec_erase(words, 0.5, rng=rng)
+    for f in range(0, 24, 3):  # a wrong known bit makes some check contradict
+        received[f, np.flatnonzero(received[f] != ERASED)[0]] ^= 1
+    out = dec.decode_bec(received, i_max=i_max)
+    for f in range(24):
+        word, sweeps, bad = reference_bec_peel(check_rows, placement.position_maps,
+                                               comp.codebook, received[f], i_max)
+        assert np.array_equal(out.word[f], np.array(word, dtype=np.int8))
+        assert out.iterations[f] == sweeps
+        assert out.contradiction[f] == bad
+    assert out.contradiction.any() and out.converged.any()
+    assert (out.residual_erasures > 0).any()
 
 
 def test_bec_single_gc_erasure_recovered():
