@@ -8,7 +8,7 @@ Monte-Carlo block-error-rate harness.  See README.md for the CLI.
 """
 
 from .component import ComponentCode, default_component_code
-from .concat import OuterCodeModel, run_concatenated_trial
+from .concat import OuterCodeModel
 from .de import DeEnsemble, de_threshold, rate_threshold_sweep
 from .decoder import Decoder, count_operations
 from .graph import GcPlacement, TannerGraph, design_rate, place_gc_nodes
@@ -21,7 +21,6 @@ __all__ = [
     "ComponentCode",
     "default_component_code",
     "OuterCodeModel",
-    "run_concatenated_trial",
     "DeEnsemble",
     "de_threshold",
     "rate_threshold_sweep",

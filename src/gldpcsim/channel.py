@@ -12,34 +12,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 QPSK_AMPLITUDE = 1.0 / math.sqrt(2.0)
 ERASED = -1  # sentinel value in ternary BEC outputs
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Channel selection for a simulation run."""
-
-    kind: str  # "awgn-qpsk" or "bec"
-    sigma: float | None = None
-    epsilon: float | None = None
-    snr_convention: str = "ebn0"
-
-    def __post_init__(self):
-        if self.kind not in ("awgn-qpsk", "bec"):
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.kind == "awgn-qpsk":
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("awgn-qpsk requires sigma > 0")
-        else:
-            if self.epsilon is None or not 0.0 <= self.epsilon <= 1.0:
-                raise ValueError("bec requires epsilon in [0, 1]")
-        if self.snr_convention not in ("ebn0", "esn0"):
-            raise ValueError(f"unknown SNR convention {self.snr_convention!r}")
 
 
 def modulate_qpsk(bits) -> np.ndarray:

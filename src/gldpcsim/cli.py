@@ -56,7 +56,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_place(args) -> int:
     profile = formats.read_profile(args.profile)
-    graph = TannerGraph.from_parity(expand(profile))
+    graph = TannerGraph(expand(profile))
     cfg = PlacementEval(sigma=args.sigma, trials=args.trials, i_max=args.i_max,
                         seed=args.seed)
     placement = placement_search(graph, Fraction(args.nu), args.samples, cfg,

@@ -1,19 +1,17 @@
-"""Concatenation of an outer bounded-distance code with the inner BP decoder.
+"""Outer bounded-distance code model for concatenation with the inner code.
 
 The outer code is modeled abstractly (a genie decoder that fixes up to t
 symbol errors) rather than implemented: the quantity of interest is how
 often the inner decoder leaves more than t errors on the systematic bits
 it hands upward.  The outer word is shortened to fit the inner info block.
+``gldpcsim.sim`` applies the model: with an outer code a trial is judged on
+the inner info bits, and Eb/N0 is normalized by :func:`overall_rate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-
-from gldpcsim.channel import awgn_llr, modulate_qpsk
 
 
 @dataclass(frozen=True)
@@ -41,50 +39,5 @@ class OuterCodeModel:
         return n_eff * self.k_out // self.n_out
 
 
-def outer_decode_model(decoded_info, true_info, t: int) -> bool:
-    """Genie bounded-distance verdict: True iff at most t symbol errors."""
-    a = np.asarray(decoded_info)
-    b = np.asarray(true_info)
-    if a.shape != b.shape:
-        raise ValueError("decoded and true info blocks differ in shape")
-    return int(np.count_nonzero(a != b)) <= t
-
-
 def overall_rate(inner_rate, outer: OuterCodeModel) -> Fraction:
     return Fraction(inner_rate) * outer.rate
-
-
-@dataclass(frozen=True)
-class ConcatTrial:
-    success: bool
-    info_errors: int    # errors on the inner systematic block before the outer stage
-    info_length: int
-    inner_converged: bool
-    iterations: int
-
-    def success_at(self, t: int) -> bool:
-        """Re-judge the same trial under a different correction radius."""
-        return self.info_errors <= t
-
-
-def run_concatenated_trial(decoder, encoder, outer: OuterCodeModel,
-                           sigma: float, rng, i_max: int = 10) -> ConcatTrial:
-    """One frame: random info, inner encode, AWGN/QPSK, BP decode, outer verdict.
-
-    Deterministic for a fixed rng seed.  The outer stage never touches the
-    channel; it only thresholds the inner decoder's residual info errors.
-    """
-    rng = np.random.default_rng(rng)
-    info = rng.integers(0, 2, size=encoder.k, dtype=np.uint8)
-    word = encoder.encode(info)
-    llr = awgn_llr(modulate_qpsk(word), sigma, rng)
-    out = decoder.decode(llr, i_max=i_max)
-    decoded_info = out.hard_bits[np.asarray(encoder.info_positions)]
-    errs = int(np.count_nonzero(decoded_info != info))
-    return ConcatTrial(
-        success=outer_decode_model(decoded_info, info, outer.t),
-        info_errors=errs,
-        info_length=encoder.k,
-        inner_converged=bool(out.converged),
-        iterations=int(out.iterations_used),
-    )

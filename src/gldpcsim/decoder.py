@@ -5,17 +5,21 @@ message (plain parity checks use the tanh rule, generalized checks the exact
 MAP component-code update), then posteriors, hard decisions, and an early
 stop on zero syndrome.  The decoder is batched: a (B, N) block of channel
 LLRs is decoded with per-frame early-stop masking, which matters because
-converged frames drop out of the arithmetic.
+converged frames drop out of the arithmetic.  Erasure decoding runs
+parallel peeling sweeps over the same edge layout.
 
-Operation counts are reported two ways: the closed-form per-iteration tally
-J*N*(11 + 17*nu) (kept in exact rational arithmetic), and a measured tally
-accumulated from the array shapes actually touched.
+Edge ``c*K + e`` joins check c to its e-th variable in ascending order.
+The generalized checks' edges are also listed in component-code position
+order, so the position maps are applied once, when the :class:`Decoder` is
+built.
+
+The operation count is the closed-form per-iteration tally J*N*(11 + 17*nu)
+of soft-decision message passing, kept in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,24 +29,6 @@ from gldpcsim.graph import GcPlacement, TannerGraph
 
 DEFAULT_I_MAX = 10
 SATURATION = 30.0
-
-
-def spc_update(llrs_in, j: int, saturation: float = SATURATION) -> float:
-    """Single parity check extrinsic: 2*atanh(prod_{m != j} tanh(L_m / 2))."""
-    lam = np.clip(np.asarray(llrs_in, dtype=np.float64), -saturation, saturation)
-    t = np.tanh(np.delete(lam, j) / 2.0)
-    prod = float(np.prod(t))
-    prod = min(max(prod, -1.0 + 1e-15), 1.0 - 1e-15)
-    return 2.0 * math.atanh(prod)
-
-
-def variable_update(channel_llr: float, incoming, j=None) -> float:
-    """Channel LLR plus all incoming check messages except edge ``j``
-    (``j=None`` keeps everything: the posterior)."""
-    total = float(channel_llr) + float(np.sum(incoming))
-    if j is not None:
-        total -= float(np.asarray(incoming, dtype=np.float64)[j])
-    return total
 
 
 def count_operations(J: int, N: int, nu, iterations: int) -> dict:
@@ -66,21 +52,6 @@ class BatchOutcome:
     hard: np.ndarray          # (B, N) uint8 decisions
     converged: np.ndarray     # (B,) bool, zero syndrome reached
     iterations: np.ndarray    # (B,) iterations actually used
-    op_per_iteration: Fraction
-    measured: dict = field(default_factory=dict)
-
-    @property
-    def op_counts(self) -> np.ndarray:
-        return self.iterations * float(self.op_per_iteration)
-
-
-@dataclass
-class DecodeOutcome:
-    hard_bits: np.ndarray
-    converged: bool
-    iterations_used: int
-    op_count: Fraction
-    measured: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -92,7 +63,6 @@ class BecBatchOutcome:
     contradiction: np.ndarray   # (B,) bool: some check had no consistent fill
     residual_erasures: np.ndarray
     iterations: np.ndarray
-    op_per_iteration: Fraction
 
 
 class Decoder:
@@ -119,16 +89,12 @@ class Decoder:
         gc_mask = placement.is_gc()
         self.gc_checks = np.nonzero(gc_mask)[0]
         self.spc_checks = np.nonzero(~gc_mask)[0]
-        slots = np.arange(K)
-        self.spc_edges = self.spc_checks[:, None] * K + slots
-        self.gc_edges = self.gc_checks[:, None] * K + slots
-        if len(self.gc_checks):
-            self.pm = np.array([placement.position_maps[int(c)]
-                                for c in self.gc_checks], dtype=np.int64)
-            self.inv_pm = np.argsort(self.pm, axis=1)
-        else:
-            self.pm = np.zeros((0, K), dtype=np.int64)
-            self.inv_pm = self.pm
+        self.spc_edges = self.spc_checks[:, None] * K + np.arange(K)
+        # gc_edges[i, p]: the edge at component position p of generalized
+        # check i; a position map sends each edge slot to its position
+        slot_at = np.array([np.argsort(placement.position_maps[int(c)])
+                            for c in self.gc_checks], dtype=np.int64).reshape(-1, K)
+        self.gc_edges = self.gc_checks[:, None] * K + slot_at
         self.op_per_iteration = count_operations(
             graph.var_degree, graph.n_vars, placement.nu_actual, 1)["per_iteration"]
 
@@ -143,66 +109,44 @@ class Decoder:
         B = llrs.shape[0]
         hard = (llrs < 0).astype(np.uint8)
         iterations = np.zeros(B, dtype=np.int64)
-        measured = {"adds": 0, "mults": 0, "nonlinear": 0}
         if i_max == 0:
-            return BatchOutcome(hard, self._syndrome_ok(hard), iterations,
-                                self.op_per_iteration, measured)
+            return BatchOutcome(hard, self._syndrome_ok(hard), iterations)
         converged = np.zeros(B, dtype=bool)
-        c2v = np.zeros((B, self.var_of_edge.size), dtype=np.float64)
+        # messages and posteriors of the frames still decoding, row i
+        # belonging to frame active[i]
         active = np.arange(B)
+        llr_a = llrs
+        c2v = np.zeros((B, self.var_of_edge.size), dtype=np.float64)
+        posterior = llrs
         for t in range(1, i_max + 1):
-            llr_a = llrs[active]
-            new_c2v = self._check_phase(self._var_phase(llr_a, c2v[active]), measured)
-            c2v[active] = new_c2v
-            posterior = llr_a + new_c2v[:, self.var_edges].sum(axis=2)
-            measured["adds"] += posterior.size * self.graph.var_degree
+            c2v = self._check_phase(posterior[:, self.var_of_edge] - c2v)
+            posterior = llr_a + c2v[:, self.var_edges].sum(axis=2)
             hard_a = (posterior < 0).astype(np.uint8)
             hard[active] = hard_a
             iterations[active] = t
             ok = self._syndrome_ok(hard_a)
             converged[active[ok]] = True
-            active = active[~ok]
-            if active.size == 0:
+            if ok.all():
                 break
-        return BatchOutcome(hard, converged, iterations,
-                            self.op_per_iteration, measured)
+            active, llr_a, c2v, posterior = (a[~ok] for a in (active, llr_a, c2v, posterior))
+        return BatchOutcome(hard, converged, iterations)
 
     def decode_trace(self, channel_llr, i_max: int = DEFAULT_I_MAX) -> list:
         """Hard-decision snapshots after every iteration of one frame,
-        stopping early on zero syndrome.  Mainly for cross-checks."""
+        stopping early on zero syndrome.  Mainly for cross-checks.  Decoding
+        is deterministic, so the snapshot after iteration t is the result of
+        decoding with budget t."""
         llr = np.asarray(channel_llr, dtype=np.float64)[None, :]
-        c2v = np.zeros((1, self.var_of_edge.size), dtype=np.float64)
-        scratch = {"adds": 0, "mults": 0, "nonlinear": 0}
         trace = []
-        for _ in range(i_max):
-            c2v = self._check_phase(self._var_phase(llr, c2v), scratch)
-            posterior = llr + c2v[:, self.var_edges].sum(axis=2)
-            hard = (posterior < 0).astype(np.uint8)
-            trace.append(hard[0].copy())
-            if self._syndrome_ok(hard)[0]:
+        for t in range(1, i_max + 1):
+            out = self.decode_batch(llr, i_max=t)
+            trace.append(out.hard[0])
+            if out.converged[0]:
                 break
         return trace
 
-    def decode(self, channel_llr, i_max: int = DEFAULT_I_MAX) -> DecodeOutcome:
-        out = self.decode_batch(np.asarray(channel_llr)[None, :], i_max)
-        return DecodeOutcome(
-            hard_bits=out.hard[0],
-            converged=bool(out.converged[0]),
-            iterations_used=int(out.iterations[0]),
-            op_count=self.op_per_iteration * int(out.iterations[0]),
-            measured=out.measured,
-        )
-
-    def _var_phase(self, llr_a, c2v_a):
-        total = llr_a + c2v_a[:, self.var_edges].sum(axis=2)
-        v2c = total[:, self.var_of_edge] - c2v_a
-        return v2c
-
-    def _check_phase(self, v2c, measured):
-        B = v2c.shape[0]
-        K = self.graph.check_degree
+    def _check_phase(self, v2c):
         new_c2v = np.empty_like(v2c)
-        measured["adds"] += v2c.size * 2  # var-phase totals and differences
         if len(self.spc_checks):
             msgs = np.clip(v2c[:, self.spc_edges], -self.saturation, self.saturation)
             t = np.tanh(msgs / 2.0)
@@ -213,20 +157,10 @@ class Decoder:
             np.cumprod(t[:, :, :0:-1], axis=2, out=suf[:, :, -2::-1])
             prod = np.clip(pre * suf, -1.0 + 1e-15, 1.0 - 1e-15)
             new_c2v[:, self.spc_edges] = 2.0 * np.arctanh(prod)
-            measured["nonlinear"] += 2 * t.size
-            measured["mults"] += 3 * t.size
         if len(self.gc_checks):
-            local = v2c[:, self.gc_edges]                       # (B, n_gc, K)
-            by_pos = np.take_along_axis(local, self.inv_pm[None], axis=2)
-            flat = by_pos.reshape(-1, K)
-            out_pos = self.comp.map_extrinsic_all(
-                flat, saturation=self.saturation, output_limit=self.saturation)
-            out_pos = out_pos.reshape(B, -1, K)
-            new_c2v[:, self.gc_edges] = np.take_along_axis(out_pos, self.pm[None], axis=2)
-            c_size = self.comp.codebook.shape[0]
-            measured["mults"] += flat.size * c_size
-            measured["adds"] += flat.size * c_size * 2
-            measured["nonlinear"] += flat.size * c_size  # exp/log work
+            new_c2v[:, self.gc_edges] = self.comp.map_extrinsic_all(
+                v2c[:, self.gc_edges], saturation=self.saturation,
+                output_limit=self.saturation)
         return new_c2v
 
     def _syndrome_ok(self, hard) -> np.ndarray:
@@ -239,9 +173,7 @@ class Decoder:
             par = bits_at[:, self.spc_edges].sum(axis=2) % 2
             ok &= ~par.any(axis=1)
         if len(self.gc_checks):
-            local = bits_at[:, self.gc_edges]
-            by_pos = np.take_along_axis(local, self.inv_pm[None], axis=2)
-            syn = by_pos.astype(np.int64) @ self.comp.parity.T.astype(np.int64) % 2
+            syn = bits_at[:, self.gc_edges] @ self.comp.parity.T.astype(np.int64) % 2
             ok &= ~syn.any(axis=(1, 2))
         return ok
 
@@ -262,13 +194,11 @@ class Decoder:
                 break
             changed, bad = self._bec_sweep(word, active)
             contradiction[active[bad]] = True
-            newly_done = bad | ~changed
-            iterations[active[changed & ~bad]] += 1
-            active = active[~newly_done]
+            active = active[changed & ~bad]
+            iterations[active] += 1
         residual = (word == -1).sum(axis=1)
         converged = (residual == 0) & ~contradiction
-        return BecBatchOutcome(word, converged, contradiction,
-                               residual, iterations, self.op_per_iteration)
+        return BecBatchOutcome(word, converged, contradiction, residual, iterations)
 
     def _bec_sweep(self, word, active):
         """One parallel recovery sweep over the active frames.  Returns
@@ -297,37 +227,19 @@ class Decoder:
                 flat[tgt] = value[b_idx, c_idx, 0]
                 changed[b_idx] = True
         if len(self.gc_checks):
-            local = vals_at[:, self.gc_edges]
-            by_pos = np.take_along_axis(local, self.inv_pm[None], axis=2)
-            m = by_pos.reshape(-1, K)                           # (B'*n_gc, K)
-            cb = self.comp.codebook.astype(np.int8)
-            consistent = ((m[:, None, :] == cb[None]) | (m[:, None, :] == -1)).all(axis=2)
+            m = vals_at[:, self.gc_edges].reshape(-1, K)        # (B'*n_gc, K)
+            cb = self.comp.codebook.astype(np.float64)
+            # a codeword is consistent when no known position contradicts it
+            consistent = ((m == 1) @ (1.0 - cb.T) + (m == 0) @ cb.T) == 0
             n_cons = consistent.sum(axis=1)
             bad |= (n_cons == 0).reshape(active.size, -1).any(axis=1)
-            # positions where every consistent codeword agrees
-            big = np.where(consistent[:, :, None], cb[None], 2).min(axis=1)
-            small = np.where(consistent[:, :, None], cb[None], -2).max(axis=1)
-            pinned = (big == small) & (m == -1) & (n_cons > 0)[:, None]
+            # an erased position is pinned when all consistent codewords agree
+            ones = consistent @ cb
+            agree = (ones == 0) | (ones == n_cons[:, None])
+            pinned = agree & (m == -1) & (n_cons > 0)[:, None]
             if pinned.any():
-                by_pos_full = pinned.reshape(active.size, -1, K)
-                values = big.reshape(active.size, -1, K)
-                # map component positions back to edge slots
-                fill = np.take_along_axis(by_pos_full, self.pm[None], axis=2)
-                vals = np.take_along_axis(values, self.pm[None], axis=2)
-                b_idx, c_idx, e_idx = np.nonzero(fill)
-                tgt = active[b_idx] * n_vars + self.var_of_edge[self.gc_edges[c_idx, e_idx]]
-                flat[tgt] = vals[b_idx, c_idx, e_idx]
+                b_idx, c_idx, p_idx = np.nonzero(pinned.reshape(active.size, -1, K))
+                tgt = active[b_idx] * n_vars + self.var_of_edge[self.gc_edges[c_idx, p_idx]]
+                flat[tgt] = ones.reshape(active.size, -1, K)[b_idx, c_idx, p_idx] > 0
                 changed[b_idx] = True
         return changed, bad
-
-
-def decode(graph: TannerGraph, placement: GcPlacement, comp: ComponentCode,
-           channel_llr, i_max: int = DEFAULT_I_MAX) -> DecodeOutcome:
-    """One-shot convenience wrapper around :class:`Decoder`."""
-    return Decoder(graph, placement, comp).decode(channel_llr, i_max)
-
-
-def decode_bec(graph: TannerGraph, placement: GcPlacement, comp: ComponentCode,
-               ternary_in, i_max: int = DEFAULT_I_MAX) -> BecBatchOutcome:
-    """One-shot erasure decoding wrapper around :class:`Decoder`."""
-    return Decoder(graph, placement, comp).decode_bec(ternary_in, i_max)

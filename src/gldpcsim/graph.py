@@ -34,10 +34,6 @@ class TannerGraph:
         # component-code position mapping
         self.edges = tuple(np.nonzero(h[c])[0] for c in range(self.n_checks))
 
-    @classmethod
-    def from_parity(cls, h) -> "TannerGraph":
-        return cls(h)
-
     def __repr__(self):
         return (f"TannerGraph(n_vars={self.n_vars}, n_checks={self.n_checks}, "
                 f"J={self.var_degree}, K={self.check_degree})")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -30,6 +30,18 @@ DEFAULT_MAX_TRIALS = 10_000_000
 
 _CHANNELS = ("awgn-qpsk", "bec")
 _CONVENTIONS = ("ebn0", "esn0")
+# a pre-built object on the left makes the construction keys on the right moot
+_EXCLUSIVE_KEYS = {"profile": ("s", "target_girth", "strategy"),
+                   "placement": ("nu", "placement_seed")}
+
+
+def _reject_conflicts(given) -> None:
+    """Refuse a pre-built object together with a key that would build it."""
+    for key, others in _EXCLUSIVE_KEYS.items():
+        for other in others:
+            if key in given and other in given:
+                raise ValueError(f"config keys {key!r} and {other!r} conflict: "
+                                 f"{other!r} only applies without {key!r}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +66,8 @@ class SimConfig:
     outer: Optional[OuterCodeModel] = None
 
     def __post_init__(self):
+        _reject_conflicts({f.name for f in fields(self)
+                           if getattr(self, f.name) != f.default})
         if not self.grid:
             raise ValueError("parameter grid must be nonempty")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
@@ -93,6 +107,7 @@ class SimConfig:
             "nu": Fraction,
             "placement_seed": int,
         }
+        _reject_conflicts(raw)
         kwargs = {}
         outer = {}
         for key, value in raw.items():
@@ -132,7 +147,7 @@ def build_stack(config: SimConfig) -> Stack:
     if profile is None:
         profile = search_shifts(config.s, 2, 6, config.target_girth,
                                 strategy=config.strategy)
-    graph = TannerGraph.from_parity(expand(profile))
+    graph = TannerGraph(expand(profile))
     placement = config.placement
     if placement is None:
         placement = place_gc_nodes(graph, config.nu, seed=config.placement_seed)
@@ -177,97 +192,66 @@ class PointResult:
         return {name: getattr(self, name) for name in CSV_SCHEMA}
 
 
-def _trial_rngs(config: SimConfig, point_idx: int, start: int, count: int) -> list:
-    return [np.random.default_rng([config.seed, point_idx, t])
-            for t in range(start, start + count)]
-
-
-def _run_point_awgn(stack: Stack, config: SimConfig, point_idx: int,
-                    param: float) -> PointResult:
-    sigma = snr_to_sigma(param, convention=config.snr_convention,
-                         overall_rate=float(stack.rate_for_snr))
-    enc = stack.encoder
-    info_pos = np.asarray(enc.info_positions)
-    bits_per_trial = enc.k if config.outer is not None else stack.graph.n_vars
-    trials = block_errors = bit_errors = 0
-    total_iters = 0
-    t0 = time.perf_counter()
-    while trials < config.max_trials and block_errors < config.min_block_errors:
-        count = min(config.batch_size, config.max_trials - trials)
-        rngs = _trial_rngs(config, point_idx, trials, count)
-        infos = np.empty((count, enc.k), dtype=np.uint8)
-        for b, rng in enumerate(rngs):
-            infos[b] = rng.integers(0, 2, size=enc.k, dtype=np.uint8)
-        words = enc.encode_batch(infos)
-        llrs = np.empty((count, stack.graph.n_vars), dtype=np.float64)
-        for b, rng in enumerate(rngs):
-            llrs[b] = awgn_llr(modulate_qpsk(words[b]), sigma, rng)
-        out = stack.decoder.decode_batch(llrs, i_max=config.i_max)
-        if config.outer is not None:
-            errs = (out.hard[:, info_pos] != infos).sum(axis=1)
-            flags = errs > config.outer.t
-        else:
-            errs = (out.hard != words).sum(axis=1)
-            flags = errs > 0
-        cut = _truncate(flags, config.min_block_errors - block_errors)
-        trials += cut
-        block_errors += int(flags[:cut].sum())
-        bit_errors += int(errs[:cut].sum())
-        total_iters += int(out.iterations[:cut].sum())
-    return _finish(stack, config, param, trials, block_errors, bit_errors,
-                   bits_per_trial, total_iters, t0, {"sigma": sigma})
-
-
-def _run_point_bec(stack: Stack, config: SimConfig, point_idx: int,
-                   param: float) -> PointResult:
-    enc = stack.encoder
-    n = stack.graph.n_vars
-    trials = block_errors = bit_errors = 0
-    total_iters = 0
-    residual_total = contradictions = 0
-    t0 = time.perf_counter()
-    while trials < config.max_trials and block_errors < config.min_block_errors:
-        count = min(config.batch_size, config.max_trials - trials)
-        rngs = _trial_rngs(config, point_idx, trials, count)
-        infos = np.empty((count, enc.k), dtype=np.uint8)
-        for b, rng in enumerate(rngs):
-            infos[b] = rng.integers(0, 2, size=enc.k, dtype=np.uint8)
-        words = enc.encode_batch(infos)
-        tern = np.empty((count, n), dtype=np.int8)
-        for b, rng in enumerate(rngs):
-            tern[b] = bec_erase(words[b], param, rng)
-        out = stack.decoder.decode_bec(tern, i_max=config.i_max)
+def _judge(config: SimConfig, stack: Stack, out, infos, words) -> tuple:
+    """Per-trial block-error flags and bit-error counts of a decoded batch."""
+    if config.channel == "bec":
         # a filled position disagreeing with the transmitted word would be a
         # decoder defect; count it as errored anyway rather than hiding it
         wrong = ((out.word != words) & (out.word != ERASED)).sum(axis=1)
         errs = out.residual_erasures + wrong
-        flags = (errs > 0) | out.contradiction
+        return (errs > 0) | out.contradiction, errs
+    if config.outer is not None:
+        errs = (out.hard[:, stack.encoder.info_positions] != infos).sum(axis=1)
+        return errs > config.outer.t, errs
+    errs = (out.hard != words).sum(axis=1)
+    return errs > 0, errs
+
+
+def _run_point(stack: Stack, config: SimConfig, point_idx: int,
+               param: float) -> PointResult:
+    """Batches of trials, in trial order, until the block-error target or
+    the trial budget is reached.  Only the received batch and the judging
+    of the decoder's outcome depend on the channel."""
+    bec = config.channel == "bec"
+    enc = stack.encoder
+    n = stack.graph.n_vars
+    if not bec:
+        sigma = snr_to_sigma(param, convention=config.snr_convention,
+                             overall_rate=float(stack.rate_for_snr))
+    trials = block_errors = bit_errors = 0
+    total_iters = residual_total = contradictions = 0
+    t0 = time.perf_counter()
+    while trials < config.max_trials and block_errors < config.min_block_errors:
+        count = min(config.batch_size, config.max_trials - trials)
+        rngs = [np.random.default_rng([config.seed, point_idx, t])
+                for t in range(trials, trials + count)]
+        infos = np.stack([rng.integers(0, 2, size=enc.k, dtype=np.uint8) for rng in rngs])
+        words = enc.encode_batch(infos)
+        received = np.empty((count, n), dtype=np.int8 if bec else np.float64)
+        for b, rng in enumerate(rngs):
+            received[b] = (bec_erase(words[b], param, rng) if bec
+                           else awgn_llr(modulate_qpsk(words[b]), sigma, rng))
+        decode = stack.decoder.decode_bec if bec else stack.decoder.decode_batch
+        out = decode(received, i_max=config.i_max)
+        flags, errs = _judge(config, stack, out, infos, words)
         cut = _truncate(flags, config.min_block_errors - block_errors)
         trials += cut
         block_errors += int(flags[:cut].sum())
         bit_errors += int(errs[:cut].sum())
         total_iters += int(out.iterations[:cut].sum())
-        residual_total += int(out.residual_erasures[:cut].sum())
-        contradictions += int(out.contradiction[:cut].sum())
-    extras = {"residual_erasure_rate": residual_total / (trials * n),
-              "contradictions": contradictions}
-    return _finish(stack, config, param, trials, block_errors, bit_errors,
-                   n, total_iters, t0, extras)
-
-
-def _truncate(flags: np.ndarray, still_needed: int) -> int:
-    """Trials to keep from this batch so the point stops exactly on target."""
-    cum = np.cumsum(flags.astype(np.int64))
-    hit = int(np.searchsorted(cum, still_needed))
-    return hit + 1 if hit < len(cum) else len(cum)
-
-
-def _finish(stack, config, param, trials, block_errors, bit_errors,
-            bits_per_trial, total_iters, t0, extras) -> PointResult:
-    ci_lo, ci_hi = wilson_interval(block_errors, trials)
-    op_total = stack.decoder.op_per_iteration * total_iters
-    extras = dict(extras)
+        if bec:
+            residual_total += int(out.residual_erasures[:cut].sum())
+            contradictions += int(out.contradiction[:cut].sum())
+    if bec:
+        extras = {"residual_erasure_rate": residual_total / (trials * n),
+                  "contradictions": contradictions}
+        op_count = 0  # the analytic count covers soft-decision decoding only
+    else:
+        extras = {"sigma": sigma}
+        op_count = int(stack.decoder.op_per_iteration * total_iters)
+    bits_per_trial = enc.k if config.outer is not None else n
     extras["bits_per_trial"] = bits_per_trial
+    ci_lo, ci_hi = wilson_interval(block_errors, trials)
     return PointResult(
         param=param,
         trials=trials,
@@ -278,17 +262,23 @@ def _finish(stack, config, param, trials, block_errors, bit_errors,
         ci_lo=ci_lo,
         ci_hi=ci_hi,
         mean_iters=total_iters / trials,
-        op_count=int(op_total),
+        op_count=op_count,
         wall_time=time.perf_counter() - t0,
         extras=extras,
     )
 
 
+def _truncate(flags: np.ndarray, still_needed: int) -> int:
+    """Trials to keep from this batch so the point stops exactly on target."""
+    cum = np.cumsum(flags.astype(np.int64))
+    hit = int(np.searchsorted(cum, still_needed))
+    return hit + 1 if hit < len(cum) else len(cum)
+
+
 def run_bler(config: SimConfig, stack: Optional[Stack] = None) -> list:
     """Measure every grid point; returns PointResult per point, in grid order."""
     stack = stack if stack is not None else build_stack(config)
-    runner = _run_point_bec if config.channel == "bec" else _run_point_awgn
-    return [runner(stack, config, idx, param)
+    return [_run_point(stack, config, idx, param)
             for idx, param in enumerate(config.grid)]
 
 

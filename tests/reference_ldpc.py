@@ -114,13 +114,13 @@ def reference_gldpc_trace(check_rows, gc_maps, codebook, llr, i_max, sat=30.0):
             for i, c in enumerate(cs):
                 v2c[(c, v)] = variable_update(llr[v], incoming, i)
         for c, row in enumerate(check_rows):
-            msgs = [v2c[(c, v)] for v in row]
             if c in gc_maps:
                 pm = gc_maps[c]
-                lam = _local_word(msgs, range(len(row)), pm)
+                lam = _local_word({v: v2c[(c, v)] for v in row}, row, pm)
                 for e, v in enumerate(row):
                     c2v[(c, v)] = gc_update(codebook, lam, pm[e], sat)
             else:
+                msgs = [v2c[(c, v)] for v in row]
                 for e, v in enumerate(row):
                     c2v[(c, v)] = spc_update(msgs, e, sat)
         hard = [0] * len(llr)

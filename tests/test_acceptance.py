@@ -263,7 +263,7 @@ def test_c08_short_structure_elimination(profile12, stack34):
                                                 replace=False)))
         baseline = QcProfile(J=2, K=6, s=83, shifts=((0,) * 6, row1))
         h = expand(baseline)
-        graph = TannerGraph.from_parity(h)
+        graph = TannerGraph(h)
         placement = place_gc_nodes(graph, Fraction(3, 4), seed=i)
         scan = scan_error_structures(
             h, gc_checks=np.array(placement.gc_indices), max_len=10)
@@ -283,7 +283,7 @@ def test_c08_short_structure_elimination(profile12, stack34):
 
 def test_c09_decoder_equivalence_nu_zero(profile12):
     h = expand(profile12)
-    graph = TannerGraph.from_parity(h)
+    graph = TannerGraph(h)
     placement = place_gc_nodes(graph, 0)
     decoder = Decoder(graph, placement)
     check_rows = [np.flatnonzero(row).tolist() for row in h]

@@ -7,7 +7,6 @@ import pytest
 
 from gldpcsim.channel import (
     ERASED,
-    ChannelSpec,
     awgn_llr,
     bec_erase,
     modulate_qpsk,
@@ -131,15 +130,3 @@ def test_bec_preserves_known_values():
     known = out != ERASED
     assert np.array_equal(out[known], bits[known].astype(np.int8))
 
-
-def test_channel_spec_validation():
-    ChannelSpec("awgn-qpsk", sigma=1.0)
-    ChannelSpec("bec", epsilon=0.4)
-    with pytest.raises(ValueError):
-        ChannelSpec("awgn-qpsk", sigma=0.0)
-    with pytest.raises(ValueError):
-        ChannelSpec("bec", epsilon=1.5)
-    with pytest.raises(ValueError):
-        ChannelSpec("laplace", sigma=1.0)
-    with pytest.raises(ValueError):
-        ChannelSpec("bec", epsilon=0.5, snr_convention="peak")

@@ -1,29 +1,33 @@
+"""Outer code model, and the outer-code path of ``run_bler``."""
+
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gldpcsim.component import default_component_code
-from gldpcsim.concat import (
-    ConcatTrial,
-    OuterCodeModel,
-    outer_decode_model,
-    overall_rate,
-    run_concatenated_trial,
-)
+from gldpcsim.concat import OuterCodeModel, overall_rate
 from gldpcsim.decoder import Decoder
-from gldpcsim.graph import TannerGraph, build_encoder, expand_full_parity, place_gc_nodes
-from gldpcsim.qc import expand, search_shifts
+from gldpcsim.graph import Encoder
+from gldpcsim.qc import search_shifts
+from gldpcsim.sim import SimConfig, build_stack, run_bler
+
+FRAMES = 64
 
 
 @pytest.fixture(scope="module")
 def stack():
-    profile = search_shifts(83, 2, 6, 12, strategy="power-sweep")
-    graph = TannerGraph.from_parity(expand(profile))
-    placement = place_gc_nodes(graph, 0.875, seed=5)
-    h_full = expand_full_parity(graph, placement, default_component_code())
-    encoder = build_encoder(h_full)
-    return Decoder(graph, placement), encoder
+    """A nu = 7/8 code with an outer model, run on a fixed frame budget: the
+    block-error target exceeds it, so every run decodes the same trials."""
+    config = SimConfig(grid=(5.0,), profile=search_shifts(83, 2, 6, 12),
+                       nu=Fraction(7, 8), placement_seed=5, i_max=10, seed=3,
+                       min_block_errors=FRAMES + 1, max_trials=FRAMES,
+                       outer=OuterCodeModel(83, 40, 0))
+    return config, build_stack(config)
+
+
+def _with_radius(config, t, **kw):
+    return dataclasses.replace(config, outer=OuterCodeModel(83, 40, t), **kw)
 
 
 def test_model_validation():
@@ -49,66 +53,76 @@ def test_shortened_payload():
         outer.shortened_payload(84)
 
 
-def test_outer_decode_model_boundary():
-    true = np.zeros(82, dtype=np.uint8)
-    for t in (0, 7, 20):
-        bad = true.copy()
-        bad[:t] ^= 1
-        assert outer_decode_model(bad, true, t)
-        bad[: t + 1] = 1
-        assert not outer_decode_model(bad, true, t)
-    with pytest.raises(ValueError):
-        outer_decode_model(np.zeros(5), np.zeros(6), 1)
-
-
 def test_overall_rate_exact():
     outer = OuterCodeModel(83, 40, 20)
     assert overall_rate(Fraction(82, 498), outer) == Fraction(82 * 40, 498 * 83)
 
 
 def test_trial_deterministic(stack):
-    decoder, encoder = stack
-    outer = OuterCodeModel(83, 40, 20)
-    a = run_concatenated_trial(decoder, encoder, outer, sigma=1.1, rng=1234)
-    b = run_concatenated_trial(decoder, encoder, outer, sigma=1.1, rng=1234)
-    assert a == b
+    config, built = stack
+    rows = [run_bler(_with_radius(config, 7, batch_size=size), built)[0].as_row()
+            for size in (7, FRAMES, FRAMES)]
+    assert rows[0] == rows[1] == rows[2]
 
 
 def test_trial_noiseless_succeeds(stack):
-    decoder, encoder = stack
-    outer = OuterCodeModel(83, 40, 0)
-    res = run_concatenated_trial(decoder, encoder, outer, sigma=1e-3, rng=7)
-    assert res.success and res.info_errors == 0
-    assert res.inner_converged and res.iterations == 1
-    assert res.info_length == encoder.k
+    config, built = stack
+    res = run_bler(dataclasses.replace(config, grid=(40.0,)), built)[0]
+    assert res.trials == FRAMES
+    assert res.block_errors == 0 and res.bit_errors == 0
+    assert res.mean_iters == 1.0
+    assert res.extras["bits_per_trial"] == built.encoder.k
 
 
-def test_radius_zero_is_inner_info_block_error(stack):
-    decoder, encoder = stack
-    outer = OuterCodeModel(83, 40, 0)
-    seen_failure = False
-    for seed in range(12):
-        res = run_concatenated_trial(decoder, encoder, outer, sigma=1.6, rng=seed)
-        assert res.success == (res.info_errors == 0)
-        seen_failure |= not res.success
-    assert seen_failure  # sigma chosen deep enough that some frames break
+def _recorded_run(config, built, monkeypatch):
+    """run_bler's point, plus each trial's error count on the inner info
+    bits, recounted from the info bits and decisions of every batch."""
+    infos, decisions = [], []
+    encode, decode = Encoder.encode_batch, Decoder.decode_batch
+
+    def encode_batch(self, info):
+        infos.append(np.array(info))
+        return encode(self, info)
+
+    def decode_batch(self, llrs, i_max):
+        out = decode(self, llrs, i_max)
+        decisions.append(out.hard.copy())
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(Encoder, "encode_batch", encode_batch)
+        m.setattr(Decoder, "decode_batch", decode_batch)
+        res = run_bler(config, built)[0]
+    hard = np.concatenate(decisions)[:, built.encoder.info_positions]
+    return res, (hard != np.concatenate(infos)).sum(axis=1)
+
+
+def test_radius_zero_is_inner_info_block_error(stack, monkeypatch):
+    config, built = stack
+    res, info_errors = _recorded_run(config, built, monkeypatch)
+    assert res.trials == len(info_errors) == FRAMES
+    assert res.block_errors == int((info_errors > 0).sum())
+    assert res.bit_errors == int(info_errors.sum())
+    assert 0 < res.block_errors < res.trials  # the point breaks some frames
+
+
+def test_outer_decode_model_boundary(stack, monkeypatch):
+    # a radius that some trial's error count meets exactly: at most t errors
+    # is a success, t + 1 a block error
+    config, built = stack
+    _, info_errors = _recorded_run(config, built, monkeypatch)
+    t = int(np.median(info_errors[info_errors > 0]))
+    res, again = _recorded_run(_with_radius(config, t), built, monkeypatch)
+    assert np.array_equal(again, info_errors)
+    assert (info_errors == t).any() and (info_errors == t + 1).any()
+    assert res.block_errors == int((info_errors > t).sum())
 
 
 def test_success_at_monotone_in_radius(stack):
-    decoder, encoder = stack
-    outer = OuterCodeModel(83, 40, 7)
-    wins7 = wins20 = 0
-    for seed in range(20):
-        res = run_concatenated_trial(decoder, encoder, outer, sigma=1.45, rng=seed)
-        assert res.success == res.success_at(7)
-        assert res.success_at(7) <= res.success_at(20)
-        wins7 += res.success_at(7)
-        wins20 += res.success_at(20)
-    assert wins20 >= wins7
-
-
-def test_success_at_matches_model():
-    trial = ConcatTrial(success=False, info_errors=9, info_length=82,
-                        inner_converged=False, iterations=10)
-    assert not trial.success_at(8)
-    assert trial.success_at(9)
+    config, built = stack
+    t7 = run_bler(_with_radius(config, 7), built)[0]
+    t20 = run_bler(_with_radius(config, 20), built)[0]
+    assert t7.trials == t20.trials == FRAMES
+    assert t7.bit_errors == t20.bit_errors  # same frames, judged twice
+    assert t20.block_errors <= t7.block_errors
+    assert t7.block_errors > 0

@@ -80,7 +80,7 @@ def test_profile_rejects_wrong_row_count(tmp_path):
 
 
 def test_placement_round_trip(tmp_path, small_profile):
-    graph = TannerGraph.from_parity(expand(small_profile))
+    graph = TannerGraph(expand(small_profile))
     placement = place_gc_nodes(graph, 0.5, seed=3)
     p = tmp_path / "code.placement"
     write_placement(placement, p)
@@ -92,7 +92,7 @@ def test_placement_round_trip(tmp_path, small_profile):
 
 
 def test_placement_round_trip_empty(tmp_path, small_profile):
-    graph = TannerGraph.from_parity(expand(small_profile))
+    graph = TannerGraph(expand(small_profile))
     placement = place_gc_nodes(graph, 0.0)
     p = tmp_path / "code.placement"
     write_placement(placement, p)
@@ -100,7 +100,7 @@ def test_placement_round_trip_empty(tmp_path, small_profile):
 
 
 def test_placement_rejects_inconsistent_nu(tmp_path, small_profile):
-    graph = TannerGraph.from_parity(expand(small_profile))
+    graph = TannerGraph(expand(small_profile))
     placement = place_gc_nodes(graph, 0.5, seed=3)
     p = tmp_path / "code.placement"
     write_placement(placement, p)

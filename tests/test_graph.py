@@ -24,7 +24,7 @@ from gldpcsim.qc import expand, search_shifts
 @pytest.fixture(scope="module")
 def lifted():
     profile = search_shifts(83, 2, 6, 12, strategy="power-sweep")
-    return TannerGraph.from_parity(expand(profile))
+    return TannerGraph(expand(profile))
 
 
 def eight_cycle_graph():
@@ -33,7 +33,7 @@ def eight_cycle_graph():
     for i in range(4):
         h[i, i] = 1
         h[i, (i + 1) % 4] = 1
-    return TannerGraph.from_parity(h)
+    return TannerGraph(h)
 
 
 # ---------------------------------------------------------------- rates
@@ -67,7 +67,7 @@ def test_design_rate_validation():
 
 def test_graph_rejects_irregular():
     with pytest.raises(ValueError):
-        TannerGraph.from_parity(np.array([[1, 1, 1], [1, 1, 0]], dtype=np.uint8))
+        TannerGraph(np.array([[1, 1, 1], [1, 1, 0]], dtype=np.uint8))
 
 
 def test_graph_edge_order_is_ascending(lifted):

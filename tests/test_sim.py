@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from gldpcsim.concat import OuterCodeModel
-from gldpcsim.formats import CSV_SCHEMA, format_result_rows, write_profile
-from gldpcsim.qc import QcProfile
+from gldpcsim.decoder import count_operations
+from gldpcsim.formats import CSV_SCHEMA, format_result_rows, write_placement, write_profile
+from gldpcsim.graph import TannerGraph, place_gc_nodes
+from gldpcsim.qc import QcProfile, expand
 from gldpcsim.sim import (
     SimConfig,
     build_stack,
@@ -102,6 +104,30 @@ def test_config_from_dict_rejects_bad_keys():
         SimConfig.from_dict({"channel": "bec"})
 
 
+def test_config_rejects_conflicting_keys(tmp_path):
+    placement = place_gc_nodes(TannerGraph(expand(PROFILE)), Fraction(3, 4), seed=1)
+    for kw, keys in [({"s": 13}, "'profile' and 's'"),
+                     ({"target_girth": 6}, "'profile' and 'target_girth'"),
+                     ({"strategy": "random"}, "'profile' and 'strategy'"),
+                     ({"placement": placement, "nu": Fraction(1, 2)},
+                      "'placement' and 'nu'"),
+                     ({"placement": placement, "placement_seed": 4},
+                      "'placement' and 'placement_seed'")]:
+        with pytest.raises(ValueError, match=keys):
+            small_config(**kw)
+    ppath, apath = tmp_path / "code.profile", tmp_path / "code.placement"
+    write_profile(PROFILE, ppath)
+    write_placement(placement, apath)
+    # in a config file a key conflicts by being present, even at its default
+    with pytest.raises(ValueError, match="'profile' and 's'"):
+        SimConfig.from_dict({"grid": "1.0", "profile": str(ppath), "s": "83"})
+    with pytest.raises(ValueError, match="'placement' and 'nu'"):
+        SimConfig.from_dict({"grid": "1.0", "placement": str(apath), "nu": "3/4"})
+    cfg = SimConfig.from_dict({"grid": "1.0", "profile": str(ppath),
+                               "placement": str(apath)})
+    assert build_stack(cfg).placement.gc_indices == placement.gc_indices
+
+
 def test_outer_from_dict():
     cfg = SimConfig.from_dict({
         "grid": "2.0",
@@ -160,6 +186,19 @@ def test_bec_all_erased():
     assert res.ber == 1.0
     assert res.mean_iters == 0.0
     assert res.extras["residual_erasure_rate"] == 1.0
+
+
+def test_op_count_is_soft_decision_only():
+    # the analytic count models soft message passing; erasure sweeps carry 0
+    bec = run_bler(small_config(channel="bec", grid=(0.3,), i_max=30,
+                                min_block_errors=65, max_trials=64))[0]
+    assert bec.mean_iters > 0 and bec.op_count == 0
+    cfg = small_config(grid=(1.0,), min_block_errors=65, max_trials=64)
+    stack = build_stack(cfg)
+    awgn = run_bler(cfg, stack)[0]
+    iterations = round(awgn.mean_iters * awgn.trials)
+    assert awgn.op_count == count_operations(
+        2, 78, stack.placement.nu_actual, iterations)["total"]
 
 
 def test_bec_easy_point_mostly_recovers():
