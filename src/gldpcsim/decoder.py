@@ -112,8 +112,7 @@ class Decoder:
         if i_max == 0:
             return BatchOutcome(hard, self._syndrome_ok(hard), iterations)
         converged = np.zeros(B, dtype=bool)
-        # messages and posteriors of the frames still decoding, row i
-        # belonging to frame active[i]
+        # row i of llr_a, c2v and posterior belongs to frame active[i]
         active = np.arange(B)
         llr_a = llrs
         c2v = np.zeros((B, self.var_of_edge.size), dtype=np.float64)
@@ -228,13 +227,14 @@ class Decoder:
                 changed[b_idx] = True
         if len(self.gc_checks):
             m = vals_at[:, self.gc_edges].reshape(-1, K)        # (B'*n_gc, K)
-            cb = self.comp.codebook.astype(np.float64)
+            cb = self.comp.codebook.astype(np.int16)  # holds counts up to 2^k <= 4096
             # a codeword is consistent when no known position contradicts it
-            consistent = ((m == 1) @ (1.0 - cb.T) + (m == 0) @ cb.T) == 0
+            clash = (m == 1).astype(np.int16) @ (1 - cb.T) + (m == 0).astype(np.int16) @ cb.T
+            consistent = clash == 0
             n_cons = consistent.sum(axis=1)
             bad |= (n_cons == 0).reshape(active.size, -1).any(axis=1)
             # an erased position is pinned when all consistent codewords agree
-            ones = consistent @ cb
+            ones = consistent.astype(np.int16) @ cb
             agree = (ones == 0) | (ones == n_cons[:, None])
             pinned = agree & (m == -1) & (n_cons > 0)[:, None]
             if pinned.any():
