@@ -184,3 +184,62 @@ def reference_bec_peel(check_rows, gc_maps, codebook, word, i_max):
             break
         sweeps += 1
     return word, sweeps, False
+
+
+# ---------------------------------------------------------------- erasure DE
+
+
+def enumerate_codebook(generator):
+    """Every codeword of ``generator``: the XOR of each subset of its rows."""
+    k, n = len(generator), len(generator[0])
+    words = []
+    for msg in range(2**k):
+        word = [0] * n
+        for i, row in enumerate(generator):
+            if (msg >> i) & 1:
+                word = [a ^ int(b) for a, b in zip(word, row)]
+        words.append(word)
+    return words
+
+
+def erasure_failure_counts(codebook):
+    """counts[w] = sum over positions j of the weight-w erasure patterns on
+    the other n-1 positions that leave j undetermined, i.e. some codeword
+    vanishes on the known positions and has a 1 at j."""
+    n = len(codebook[0])
+    counts = [0] * n
+    for j in range(n):
+        others = [m for m in range(n) if m != j]
+        for pattern in range(2 ** (n - 1)):
+            known = [others[t] for t in range(n - 1) if not (pattern >> t) & 1]
+            if any(c[j] == 1 and all(c[m] == 0 for m in known) for c in codebook):
+                counts[n - 1 - len(known)] += 1
+    return counts
+
+
+def bec_threshold_inf(nu, codebook, points=20_000):
+    """BEC threshold of the J=2 ensemble whose checks are generalized with
+    probability nu and single parity checks of the same length otherwise:
+    inf over x in (0, 1] of x / mix(x) (Richardson & Urbanke, Modern Coding
+    Theory, ch. 3), with mix(x) = nu * gc(x) + (1 - nu) * (1 - (1-x)^(n-1))
+    and gc(x) = sum_w counts[w] x^w (1-x)^(n-1-w) / n.
+
+    Returns (threshold, grid_error): the smaller of the minimum over a
+    uniform grid and the x -> 0 limit 1/mix'(0), and the largest change of
+    x/mix(x) between the minimising grid point and its neighbours.
+    """
+    counts = erasure_failure_counts(codebook)
+    n = len(counts)
+
+    def ratio(x):
+        gc = sum(c * x**w * (1.0 - x) ** (n - 1 - w) for w, c in enumerate(counts)) / n
+        return x / (nu * gc + (1.0 - nu) * (1.0 - (1.0 - x) ** (n - 1)))
+
+    g = [ratio(i / points) for i in range(1, points + 1)]
+    i = min(range(points), key=g.__getitem__)
+    grid_error = max(abs(g[k] - g[i]) for k in (i - 1, i + 1) if 0 <= k < points)
+    best = g[i]
+    slope0 = nu * counts[1] / n + (1.0 - nu) * (n - 1)  # mix'(0), as counts[0] = 0
+    if counts[0] == 0 and slope0 > 0:
+        best = min(best, 1.0 / slope0)
+    return best, grid_error

@@ -12,7 +12,10 @@ from gldpcsim.de import (
     rate_threshold_sweep,
 )
 
+from reference_ldpc import bec_threshold_inf, enumerate_codebook
+
 NU_GRID = [0.0, 0.25, 0.5, 0.75, 0.875, 1.0]
+DEFAULT_G = [[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]]
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,20 @@ def test_mix_monotone_in_x():
 def test_gc_heavy_threshold_beats_spc():
     ens = DeEnsemble(J=2, K=6, nu=1.0)
     assert de_threshold(ens, tol=1e-3) > 0.25
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.875, 1.0])
+def test_threshold_matches_closed_form(nu):
+    # independent oracle: inf x / mix(x) from the enumerated codebook
+    tol = 1e-4
+    want, grid_error = bec_threshold_inf(nu, enumerate_codebook(DEFAULT_G))
+    got = de_threshold(DeEnsemble(J=2, K=6, nu=nu), tol=tol)
+    assert abs(got - want) <= tol + grid_error
+
+
+def test_fails_just_above_stability_limit():
+    # at nu = 3/4 the threshold is the x -> 0 limit 1/mix'(0) = 0.8
+    assert not de_converges(0.8 + 1e-6, DeEnsemble(J=2, K=6, nu=0.75))
 
 
 def test_bracket_contract():
