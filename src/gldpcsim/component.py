@@ -9,8 +9,10 @@ density evolution.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -156,17 +158,39 @@ class ComponentCode:
                         counts[j, w] += 1
         return counts
 
+    @cached_property
+    def exit_coefficients(self) -> tuple:
+        """Exact monomial coefficients a_0..a_{n-1} of exit_erasure(x) = sum_i a_i x^i.
+
+        Expands sum_w counts[w] x^w (1-x)^(n-1-w) / n in Fractions, where
+        counts[w] totals the failure counts over positions.
+        """
+        counts = self._erasure_failure_counts.sum(axis=0)
+        m = self.n - 1
+        coeffs = [Fraction(0)] * self.n
+        for w, c in enumerate(counts):
+            for t in range(m - w + 1):
+                coeffs[w + t] += Fraction((-1) ** t * comb(m - w, t) * int(c), self.n)
+        return tuple(coeffs)
+
+    @cached_property
+    def _exit_horner(self) -> tuple:
+        """exit_coefficients as floats, highest degree first."""
+        return tuple(float(a) for a in reversed(self.exit_coefficients))
+
     def exit_erasure(self, x: float) -> float:
         """P(random position not recoverable | every other erased w.p. x).
 
-        Exact: sums the cached per-weight failure counts against the pattern
-        probabilities x^w (1-x)^(n-1-w), averaged over the position.
+        Exact up to rounding: the position-averaged failure counts weighted by
+        the pattern probabilities x^w (1-x)^(n-1-w) form a fixed polynomial of
+        degree n-1, evaluated by Horner on its cached coefficients.
         """
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"erasure probability {x} outside [0, 1]")
-        w = np.arange(self.n)
-        pattern_prob = x**w * (1.0 - x) ** (self.n - 1 - w)
-        return float(self._erasure_failure_counts.sum(axis=0) @ pattern_prob / self.n)
+        acc = 0.0
+        for a in self._exit_horner:
+            acc = acc * x + a
+        return acc
 
 
 def _lse(a: np.ndarray) -> np.ndarray:

@@ -4,19 +4,26 @@ Tracks the per-iteration edge erasure probability x of a (J=2, K)-regular
 ensemble in which a fraction nu of checks are generalized.  The variable
 side is degree 2, so the recursion is simply x <- eps * mix(x); the check
 side mixes the single-parity-check EXIT curve with the component code's
-exact extrinsic erasure probability.
+exact extrinsic erasure probability.  Both are polynomials of degree K-1,
+so mix is one polynomial whose coefficients the ensemble caches; each step
+of the recursion is a Horner evaluation in plain floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from gldpcsim.component import ComponentCode, default_component_code
 from gldpcsim.graph import design_rate
 
 CONVERGED_BELOW = 1e-12
 ITERATION_CAP = 100_000
+# Horner's rounding error on mix is at most K * 2^-52 * sum |c_i|
+HORNER_ERROR_LIMIT = 1e-9
+# a step that rises by at most this relative amount is rounding at a fixed point
+STALL_SLACK = 16 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -27,6 +34,8 @@ class DeEnsemble:
     K: int
     nu: float
     comp: ComponentCode = field(default_factory=default_component_code)
+    # monomial coefficients of mix, highest degree first
+    horner: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= float(self.nu) <= 1.0:
@@ -35,6 +44,16 @@ class DeEnsemble:
             raise ValueError(f"check degree {self.K} != component length {self.comp.n}")
         if self.J != 2:
             raise ValueError("the degree-2 variable recursion assumes J = 2")
+        nu = Fraction(self.nu)
+        # 1 - (1-x)^(K-1) = sum_{i>=1} (-1)^(i+1) C(K-1, i) x^i
+        spc = [0] + [(-1) ** (i + 1) * comb(self.K - 1, i) for i in range(1, self.K)]
+        gc = self.comp.exit_coefficients if nu else (0,) * self.K
+        mix = [float(nu * g + (1 - nu) * s) for g, s in zip(gc, spc)]
+        bound = self.K * 2.0**-52 * sum(abs(c) for c in mix)
+        if bound > HORNER_ERROR_LIMIT:
+            raise ValueError(f"monomial form of the check mixture loses accuracy: "
+                             f"error bound {bound:.1e} > {HORNER_ERROR_LIMIT:.0e}")
+        object.__setattr__(self, "horner", tuple(reversed(mix)))
 
 
 def de_check_mix(x: float, ens: DeEnsemble) -> float:
@@ -43,13 +62,15 @@ def de_check_mix(x: float, ens: DeEnsemble) -> float:
     Plain checks: 1 - (1-x)^(K-1).  Generalized checks: the component
     code's exact position-averaged non-recoverability with the target
     position excluded (every other position erased independently w.p. x).
+    The nu-weighted sum of the two is evaluated by Horner on the
+    ensemble's cached coefficients.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"erasure probability {x} outside [0, 1]")
-    nu = float(ens.nu)
-    f_spc = 1.0 - (1.0 - x) ** (ens.K - 1)
-    f_gc = ens.comp.exit_erasure(x) if nu > 0.0 else 0.0
-    return nu * f_gc + (1.0 - nu) * f_spc
+    acc = 0.0
+    for c in ens.horner:
+        acc = acc * x + c
+    return acc
 
 
 def de_converges(eps: float, ens: DeEnsemble,
@@ -58,10 +79,11 @@ def de_converges(eps: float, ens: DeEnsemble,
     """Run the recursion x <- eps * de_check_mix(x) from x = eps.
 
     True when x falls below the convergence criterion.  A stall at a
-    positive fixed point is failure; so is exhausting the iteration cap
-    while still (monotonically) creeping down, which is reported as
-    failure conservatively.  Non-monotone trajectories indicate a broken
-    mixture function and raise.
+    positive fixed point is failure, and so is a step that rises by no
+    more than rounding (STALL_SLACK relative); so is exhausting the
+    iteration cap while still (monotonically) creeping down, which is
+    reported as failure conservatively.  A larger rise indicates a broken
+    mixture function and raises.
     """
     x = eps
     for _ in range(cap):
@@ -69,10 +91,10 @@ def de_converges(eps: float, ens: DeEnsemble,
             return True
         x_next = eps * de_check_mix(x, ens)
         if x_next >= x:
-            if x_next > x:
+            if x_next > x * (1.0 + STALL_SLACK):
                 raise RuntimeError(
                     f"density evolution not monotone at eps={eps}: {x} -> {x_next}")
-            return False  # exact positive fixed point
+            return False  # positive fixed point
         x = x_next
     return x < converged_below
 

@@ -106,6 +106,26 @@ def test_non_monotone_trajectory_raises(monkeypatch):
         de_mod.de_converges(0.5, ens)
 
 
+def test_one_ulp_rise_is_a_stall(monkeypatch):
+    import gldpcsim.de as de_mod
+
+    # at eps = 1/2 the step is x -> nextafter(x, 1): rounding at a fixed
+    # point, which is failure to converge rather than a broken mixture
+    monkeypatch.setattr(de_mod, "de_check_mix", lambda x, ens: 2.0 * math.nextafter(x, 1.0))
+    ens = DeEnsemble(J=2, K=6, nu=0.0)
+    assert de_mod.de_converges(0.5, ens) is False
+
+
+def test_mix_coefficients_and_accuracy_guard():
+    ens = DeEnsemble(J=2, K=6, nu=0.5)
+    # (2x^2 + 2x^3 - 5x^4 + 2x^5) / 2 + (5x - 10x^2 + 10x^3 - 5x^4 + x^5) / 2
+    assert ens.horner == (1.5, -5.0, 6.0, -4.0, 2.5, 0.0)
+    # degree-20 checks: 1 - (1-x)^19 has coefficients up to C(19, 9), and
+    # 20 * 2^-52 * (2^19 - 1) exceeds the 1e-9 error limit
+    with pytest.raises(ValueError, match="accuracy"):
+        DeEnsemble(J=2, K=20, nu=0.0, comp=ComponentCode([[1] * 20]))
+
+
 def test_validation():
     with pytest.raises(ValueError):
         DeEnsemble(J=2, K=6, nu=1.5)
