@@ -80,10 +80,15 @@ def de_converges(eps: float, ens: DeEnsemble,
 
     True when x falls below the convergence criterion.  A stall at a
     positive fixed point is failure, and so is a step that rises by no
-    more than rounding (STALL_SLACK relative); so is exhausting the
-    iteration cap while still (monotonically) creeping down, which is
-    reported as failure conservatively.  A larger rise indicates a broken
-    mixture function and raises.
+    more than rounding (STALL_SLACK relative).  A larger rise indicates a
+    broken mixture function and raises.
+
+    Exhausting the iteration cap while x still falls (slow contraction just
+    below a threshold set by the x -> 0 stability limit) is decided by the
+    bound mix(y)/y <= c_1 + sum_{i>=2} |c_i| x^(i-1) on all of (0, x], for
+    the mixture's monomial coefficients c_i: when eps times the bound is
+    below 1 the recursion contracts to 0 from x, so True is rigorous; at
+    eps above 1/mix'(0) = 1/c_1 the answer is always False.
     """
     x = eps
     for _ in range(cap):
@@ -96,7 +101,13 @@ def de_converges(eps: float, ens: DeEnsemble,
                     f"density evolution not monotone at eps={eps}: {x} -> {x_next}")
             return False  # positive fixed point
         x = x_next
-    return x < converged_below
+    if x < converged_below:
+        return True
+    *high, c1, _ = ens.horner
+    bound = 0.0
+    for c in high:
+        bound = bound * x + abs(c)
+    return eps * (bound * x + c1) < 1.0
 
 
 def de_threshold(ens: DeEnsemble, tol: float = 1e-4) -> float:

@@ -54,7 +54,7 @@ def test_gc_heavy_threshold_beats_spc():
     assert de_threshold(ens, tol=1e-3) > 0.25
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.875, 1.0])
+@pytest.mark.parametrize("nu", NU_GRID)
 def test_threshold_matches_closed_form(nu):
     # independent oracle: inf x / mix(x) from the enumerated codebook
     tol = 1e-4
