@@ -112,7 +112,7 @@ def read_placement(path) -> GcPlacement:
     for toks in lines[3:]:
         if toks[0] != "map":
             raise ValueError(f"{path}: unexpected line {' '.join(toks)!r}")
-        maps[int(toks[1])] = np.array([int(t) for t in toks[2:]], dtype=np.int64)
+        maps[int(toks[1])] = [int(t) for t in toks[2:]]
     if set(maps) != set(gc_indices):
         raise ValueError(f"{path}: position maps do not match gc_indices")
     placement = GcPlacement(n_checks=n_checks, gc_indices=gc_indices,

@@ -54,9 +54,11 @@ class GcPlacement:
             raise ValueError("duplicate generalized check indices")
         if idx and (idx[0] < 0 or idx[-1] >= self.n_checks):
             raise ValueError("check index out of range")
-        if set(self.position_maps) != set(idx):
+        maps = {int(c): tuple(int(p) for p in pm) for c, pm in self.position_maps.items()}
+        object.__setattr__(self, "position_maps", maps)
+        if set(maps) != set(idx):
             raise ValueError("position maps must cover exactly the generalized checks")
-        for c, pm in self.position_maps.items():
+        for c, pm in maps.items():
             if sorted(pm) != list(range(len(pm))):
                 raise ValueError(f"position map for check {c} is not a permutation")
 
@@ -106,11 +108,8 @@ def place_gc_nodes(graph: TannerGraph, nu, seed=0) -> GcPlacement:
     rng = np.random.default_rng(seed)
     count = _round_half_up(nu * graph.n_checks)
     chosen = np.sort(rng.choice(graph.n_checks, size=count, replace=False))
-    maps = {int(c): tuple(int(p) for p in rng.permutation(graph.check_degree))
-            for c in chosen}
-    return GcPlacement(n_checks=graph.n_checks,
-                       gc_indices=tuple(int(c) for c in chosen),
-                       position_maps=maps)
+    maps = {c: rng.permutation(graph.check_degree) for c in chosen}
+    return GcPlacement(n_checks=graph.n_checks, gc_indices=chosen, position_maps=maps)
 
 
 def expand_full_parity(graph: TannerGraph, placement: GcPlacement,
