@@ -3,8 +3,8 @@
 A :class:`ComponentCode` wraps a generator matrix and precomputes the full
 codebook (so k is capped where 2^k stays enumerable).  It provides the exact
 MAP extrinsic LLR update used by generalized constraint nodes, the erasure
-recovery predicate, and the average extrinsic erasure probability used by
-density evolution.
+recovery predicate, and the average extrinsic erasure probability, a
+polynomial whose exact coefficients density evolution uses.
 """
 
 from __future__ import annotations
@@ -105,28 +105,7 @@ class ComponentCode:
             np.clip(out, -output_limit, output_limit, out=out)
         return out.reshape(*batch_shape, self.n)
 
-    def map_extrinsic_llr(self, llr_in, j: int, saturation: float = DEFAULT_INPUT_SATURATION,
-                          output_limit=None) -> float:
-        """Exact MAP extrinsic LLR for one position (see map_extrinsic_all)."""
-        if not 0 <= j < self.n:
-            raise ValueError(f"position {j} out of range for n={self.n}")
-        lam = np.asarray(llr_in, dtype=np.float64)
-        if lam.shape != (self.n,):
-            raise ValueError(f"expected llr vector of length {self.n}")
-        return float(self.map_extrinsic_all(lam[None, :], saturation, output_limit)[0, j])
-
     # ---------------- erasures ----------------
-
-    def consistent_codewords(self, word) -> np.ndarray:
-        """Codebook rows agreeing with ``word`` at every non-erased position.
-
-        ``word`` has entries in {0, 1} plus -1 for erased.
-        """
-        w = np.asarray(word)
-        if w.shape != (self.n,):
-            raise ValueError(f"expected word of length {self.n}")
-        known = w >= 0
-        return self.codebook[np.all(self.codebook[:, known] == w[known], axis=1)]
 
     def erasure_recoverable(self, known, j: int) -> bool:
         """True iff position j is pinned down by the positions in ``known``.

@@ -4,9 +4,15 @@ Used only as cross-checks: they share no code with the package decoder
 (edge messages live in dicts, products are taken in row order, generalized
 checks sum codeword probabilities instead of log-likelihoods) but follow the
 same flooding schedule, saturation, and stopping rule.
+
+Also here: two single-position helpers over package results that only tests
+use, and a BEC threshold oracle, inf x / mix(x) on a grid, from an
+enumerated codebook.
 """
 
 import math
+
+import numpy as np
 
 
 def spc_update(llrs_in, j, saturation=30.0):
@@ -184,6 +190,24 @@ def reference_bec_peel(check_rows, gc_maps, codebook, word, i_max):
             break
         sweeps += 1
     return word, sweeps, False
+
+
+# ---------------------------------------------------------------- helpers
+# Thin single-position views of package results, for tests that compare them.
+
+
+def map_extrinsic_llr(code, llr, j):
+    """The package's MAP extrinsic LLR at position ``j`` of one input word:
+    one entry of ``code.map_extrinsic_all``."""
+    return float(code.map_extrinsic_all(np.asarray(llr, dtype=np.float64)[None, :])[0, j])
+
+
+def consistent_codewords(codebook, word):
+    """Rows of the ``codebook`` array agreeing with ``word`` at every
+    non-erased position (entries in {0, 1}, -1 for erased)."""
+    w = np.asarray(word)
+    known = w >= 0
+    return codebook[np.all(codebook[:, known] == w[known], axis=1)]
 
 
 # ---------------------------------------------------------------- erasure DE

@@ -19,6 +19,7 @@ from gldpcsim.graph import (
 from gldpcsim.qc import QcProfile, expand, search_shifts
 
 from reference_ldpc import (
+    consistent_codewords,
     reference_bec_peel,
     reference_bp_trace,
     reference_gldpc_trace,
@@ -329,9 +330,9 @@ def test_bec_contradiction_detected():
         return out
 
     bad = np.array([1, 1, 0, 0, 0, 1], dtype=np.int8)
-    if comp.consistent_codewords(pos_word(bad)).shape[0]:
+    if consistent_codewords(comp.codebook, pos_word(bad)).shape[0]:
         bad[0] ^= 1  # one flip off a codeword breaks membership (d_min 3)
-        assert comp.consistent_codewords(pos_word(bad)).shape[0] == 0
+        assert consistent_codewords(comp.codebook, pos_word(bad)).shape[0] == 0
     out = Decoder(graph, placement, comp).decode_bec(bad, i_max=5)
     assert out.contradiction[0]
     assert not out.converged[0]
