@@ -103,6 +103,7 @@ def de_converges(eps: float, ens: DeEnsemble,
         x = x_next
     if x < converged_below:
         return True
+    # cap spent while x still falls: eps * (c_1 + sum_{i>=2} |c_i| x^(i-1)) < 1
     *high, c1, _ = ens.horner
     bound = 0.0
     for c in high:
